@@ -1,19 +1,13 @@
-"""Hot-path benchmark: planning throughput, kernel timings, warm starts.
+"""Hot-path benchmark: planning throughput, thread vs process executor.
 
 Not pytest-collected (``testpaths = ["tests"]``) — run it directly:
 
     PYTHONPATH=src python benchmarks/bench_hotpath.py --smoke
 
-Emits ``BENCH_hotpath.json`` so the hot-path speed-ups introduced by the
-array-graph/process-executor work are tracked across PRs:
-
-* plans/sec for ``PlanService`` in thread vs process executor mode, plus
-  the per-stage p50s (compression / cut) from the service histograms;
-* dict vs CSR vs numpy label-propagation kernel wall time on a large
-  graph, with a label-parity check across all three;
-* python vs numpy greedy candidate-scan inside a full multi-user plan,
-  with a plan-digest parity check;
-* cold vs warm Fiedler sparse solves (the warm-start vector cache).
+Emits ``BENCH_hotpath.json`` with plans/sec for ``PlanService`` in
+thread vs process executor mode, plus the per-stage p50s (compression /
+cut) from the service histograms, so the process executor's payoff is
+tracked across changes.
 
 CI runs the ``--smoke`` variant and fails on crash only, never on
 regression — absolute numbers depend on the runner, so the JSON artifact
@@ -32,26 +26,11 @@ import sys
 import time
 from pathlib import Path
 
-from repro.compression.labels import MeanScaledThreshold
-from repro.compression.propagation import LabelPropagation
 from repro.core import make_planner
-from repro.core.config import PlannerConfig
-from repro.graphs.generators import random_connected_graph
-from repro.service import PlanService, ServiceConfig, plan_digest
-from repro.spectral.fiedler import FiedlerSolver
+from repro.service import PlanService, ServiceConfig
 from repro.workloads.multiuser import build_mec_system
 from repro.workloads.profiles import quick_profile
 from repro.workloads.traces import replay_arrivals
-
-
-def _best_of(repeats: int, run) -> float:
-    """Best wall time of *repeats* calls to *run* (min reduces jitter)."""
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        started = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - started)
-    return best
 
 
 def bench_service(executor: str, arrivals, workers: int, strategy: str = "spectral") -> dict:
@@ -80,86 +59,6 @@ def bench_service(executor: str, arrivals, workers: int, strategy: str = "spectr
         "plans_per_sec": len(responses) / elapsed if elapsed > 0 else 0.0,
         "planner_invocations": invocations,
         "stage_p50": stage_p50,
-    }
-
-
-def bench_label_propagation(n_nodes: int, repeats: int, seed: int = 0) -> dict:
-    """Dict vs CSR vs numpy label-propagation kernels on one large graph."""
-    graph = random_connected_graph(n_nodes, min(3 * n_nodes, n_nodes * (n_nodes - 1) // 2), seed=seed)
-    timings: dict[str, float] = {}
-    reports = {}
-    for kernel in ("dict", "csr", "numpy"):
-        propagation = LabelPropagation(MeanScaledThreshold(1.0), kernel=kernel)
-        reports[kernel] = propagation.run(graph)
-        timings[kernel] = _best_of(repeats, lambda p=propagation: p.run(graph))
-    for kernel in ("csr", "numpy"):
-        if reports["dict"].labels != reports[kernel].labels:
-            raise RuntimeError(f"dict and {kernel} label-propagation kernels disagree")
-    return {
-        "n_nodes": n_nodes,
-        "n_edges": graph.edge_count,
-        "dict_seconds": timings["dict"],
-        "csr_seconds": timings["csr"],
-        "numpy_seconds": timings["numpy"],
-        "csr_speedup": timings["dict"] / timings["csr"] if timings["csr"] > 0 else 0.0,
-        "numpy_speedup": timings["dict"] / timings["numpy"] if timings["numpy"] > 0 else 0.0,
-        "labels_identical": True,
-        "rounds": reports["csr"].rounds,
-    }
-
-
-def bench_greedy_kernel(n_users: int, graph_size: int, repeats: int, seed: int = 2) -> dict:
-    """Python vs numpy greedy candidate-scan inside a full multi-user plan."""
-    profile = dataclasses.replace(
-        quick_profile(),
-        distinct_graphs=4,
-        multiuser_graph_size=graph_size,
-        seed=2019 + seed,
-    )
-    workload = build_mec_system(n_users, profile, graph_size=graph_size)
-    timings: dict[str, float] = {}
-    digests: dict[str, dict[str, str]] = {}
-    for kernel in ("python", "numpy"):
-        planner = make_planner("spectral", PlannerConfig(greedy_kernel=kernel))
-        result = planner.plan_system(workload.system, workload.call_graphs)
-        digests[kernel] = {
-            user: plan_digest(plan) for user, plan in result.user_plans.items()
-        }
-        timings[kernel] = _best_of(
-            repeats,
-            lambda p=planner: p.plan_system(workload.system, workload.call_graphs),
-        )
-    identical = digests["python"] == digests["numpy"]
-    if not identical:
-        raise RuntimeError("python and numpy greedy kernels produced different plans")
-    return {
-        "n_users": n_users,
-        "graph_size": graph_size,
-        "python_seconds": timings["python"],
-        "numpy_seconds": timings["numpy"],
-        "numpy_speedup": timings["python"] / timings["numpy"] if timings["numpy"] > 0 else 0.0,
-        "plans_identical": identical,
-    }
-
-
-def bench_fiedler_warm_start(n_nodes: int, repeats: int, seed: int = 1) -> dict:
-    """Cold vs warm sparse Fiedler solve on one structure."""
-    graph = random_connected_graph(n_nodes, min(3 * n_nodes, n_nodes * (n_nodes - 1) // 2), seed=seed)
-    cold = FiedlerSolver(method="sparse")
-    warm = FiedlerSolver(method="sparse", warm_start=True)
-    cold_result = cold.solve(graph)
-    warm.solve(graph)  # populate the warm cache for this structure
-    warm_result = warm.solve(graph)
-    cold_seconds = _best_of(repeats, lambda: cold.solve(graph))
-    warm_seconds = _best_of(repeats, lambda: warm.solve(graph))
-    scale = max(abs(cold_result.value), 1e-12)
-    return {
-        "n_nodes": n_nodes,
-        "cold_seconds": cold_seconds,
-        "warm_seconds": warm_seconds,
-        "warm_speedup": cold_seconds / warm_seconds if warm_seconds > 0 else 0.0,
-        "warm_hits": warm.warm_hits,
-        "lambda2_rel_diff": abs(cold_result.value - warm_result.value) / scale,
     }
 
 
@@ -193,14 +92,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pool", type=int, default=8, help="distinct apps in the trace")
     parser.add_argument("--graph-size", type=int, default=120, help="functions per app")
     parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--label-nodes", type=int, default=800)
-    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output", type=Path, default=Path("BENCH_hotpath.json"))
     args = parser.parse_args(argv)
     if args.smoke:
         args.requests, args.pool, args.graph_size, args.workers = 24, 4, 40, 2
-        args.label_nodes, args.repeats = 520, 1
 
     profile = dataclasses.replace(
         quick_profile(),
@@ -220,11 +116,6 @@ def main(argv: list[str] | None = None) -> int:
         if service["thread"]["plans_per_sec"] > 0
         else 0.0
     )
-    label_propagation = bench_label_propagation(args.label_nodes, args.repeats, seed=args.seed)
-    greedy = bench_greedy_kernel(
-        max(8, args.requests // 2), args.graph_size, args.repeats, seed=args.seed + 2
-    )
-    fiedler = bench_fiedler_warm_start(args.label_nodes, args.repeats, seed=args.seed + 1)
 
     cpu_count = os.cpu_count() or 1
     entry = {
@@ -242,15 +133,10 @@ def main(argv: list[str] | None = None) -> int:
             "pool": args.pool,
             "graph_size": args.graph_size,
             "workers": args.workers,
-            "label_nodes": args.label_nodes,
-            "repeats": args.repeats,
             "seed": args.seed,
         },
         "service": service,
         "process_vs_thread_speedup": process_speedup,
-        "label_propagation": label_propagation,
-        "greedy_kernel": greedy,
-        "fiedler_warm_start": fiedler,
     }
     args.output.write_text(json.dumps(_append_trajectory(args.output, entry), indent=2) + "\n")
 
@@ -258,26 +144,6 @@ def main(argv: list[str] | None = None) -> int:
         f"service: thread {service['thread']['plans_per_sec']:.1f} plans/s, "
         f"process {service['process']['plans_per_sec']:.1f} plans/s "
         f"({process_speedup:.2f}x)"
-    )
-    print(
-        f"label propagation ({label_propagation['n_nodes']} nodes): "
-        f"dict {label_propagation['dict_seconds'] * 1e3:.2f}ms, "
-        f"csr {label_propagation['csr_seconds'] * 1e3:.2f}ms "
-        f"({label_propagation['csr_speedup']:.2f}x), "
-        f"numpy {label_propagation['numpy_seconds'] * 1e3:.2f}ms "
-        f"({label_propagation['numpy_speedup']:.2f}x, labels identical)"
-    )
-    print(
-        f"greedy scan ({greedy['n_users']} users): "
-        f"python {greedy['python_seconds'] * 1e3:.2f}ms, "
-        f"numpy {greedy['numpy_seconds'] * 1e3:.2f}ms "
-        f"({greedy['numpy_speedup']:.2f}x, plans identical)"
-    )
-    print(
-        f"fiedler sparse ({fiedler['n_nodes']} nodes): "
-        f"cold {fiedler['cold_seconds'] * 1e3:.2f}ms, "
-        f"warm {fiedler['warm_seconds'] * 1e3:.2f}ms "
-        f"({fiedler['warm_speedup']:.2f}x, lambda2 rel diff {fiedler['lambda2_rel_diff']:.2e})"
     )
     print(f"wrote {args.output}")
     return 0

@@ -1,8 +1,8 @@
 """Lock-discipline rules: declared locks must be honoured everywhere.
 
 The serving stack guards shared mutable state with per-object locks
-(``self._lock``, ``self._warm_lock``, ``self._cond``, ...).  The
-contract these rules enforce is the one the code already follows:
+(``self._lock``, ``self._cond``, ...).  The contract these rules
+enforce is the one the code already follows:
 
 * an attribute that is *ever* assigned inside a ``with self.<lock>:``
   block is lock-guarded state, and every other assignment to it (except

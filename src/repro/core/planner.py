@@ -216,7 +216,6 @@ class OffloadingPlanner:
                 bisections,
                 weights=self.config.objective,
                 placement_mode=self.config.initial_placement_mode,
-                kernel=self.config.greedy_kernel,
             )
         for plan in user_plans.values():
             plan.stage_seconds["greedy"] = greedy_watch.elapsed

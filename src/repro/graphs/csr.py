@@ -2,8 +2,8 @@
 
 The dict-of-dict :class:`~repro.graphs.weighted_graph.WeightedGraph` is
 the right structure for *building* and *mutating* graphs (compression
-merges, workload generation), but every hot read path — Laplacian
-assembly, label propagation's neighbor scans, cut evaluation — pays
+merges, workload generation), but array read paths — Laplacian
+assembly, cut evaluation, shared-memory transfer — would pay
 Python-level hashing per edge visit.  :class:`CSRGraph` freezes a
 weighted graph into four numpy arrays in compressed-sparse-row layout:
 
@@ -59,7 +59,6 @@ class CSRGraph:
         "indices",
         "edge_weight",
         "node_weight",
-        "_signature",
     )
 
     def __init__(
@@ -76,7 +75,6 @@ class CSRGraph:
         self.indices = indices
         self.edge_weight = edge_weight
         self.node_weight = node_weight
-        self._signature: str | None = None
         for array in (indptr, indices, edge_weight, node_weight):
             array.setflags(write=False)
 
@@ -155,7 +153,8 @@ class CSRGraph:
         mask = np.zeros(self.node_count, dtype=bool)
         for node in part:
             mask[self.index[node]] = True
-        crossing = mask[self.incidence_rows()] & ~mask[self.indices]
+        rows = np.repeat(np.arange(self.node_count), self.degrees())
+        crossing = mask[rows] & ~mask[self.indices]
         return float(self.edge_weight[crossing].sum())
 
     def __len__(self) -> int:
@@ -177,26 +176,17 @@ class CSRGraph:
         """Unweighted degree per node (``int64[n]``)."""
         return np.diff(self.indptr)
 
-    def incidence_rows(self) -> np.ndarray:
-        """Source-node index of every incidence (``int64[2m]``).
-
-        ``incidence_rows()[k]`` is the node whose incidence slice contains
-        position ``k`` — the row array pairing with :attr:`indices` /
-        :attr:`edge_weight` that every scatter/gather kernel needs.
-        """
-        return np.repeat(np.arange(self.node_count), np.diff(self.indptr))
-
     def weighted_degrees(self) -> np.ndarray:
         """Weighted degree per node — the Laplacian diagonal."""
-        return np.bincount(
-            self.incidence_rows(), weights=self.edge_weight, minlength=self.node_count
-        )
+        rows = np.repeat(np.arange(self.node_count), self.degrees())
+        return np.bincount(rows, weights=self.edge_weight, minlength=self.node_count)
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense weighted adjacency ``A`` aligned with :attr:`nodes`."""
         n = self.node_count
         matrix = np.zeros((n, n), dtype=float)
-        matrix[self.incidence_rows(), self.indices] = self.edge_weight
+        rows = np.repeat(np.arange(n), self.degrees())
+        matrix[rows, self.indices] = self.edge_weight
         return matrix
 
     def laplacian_matrix(self) -> np.ndarray:
@@ -244,32 +234,6 @@ class CSRGraph:
             for k in range(int(indptr[i]), int(indptr[i + 1])):
                 row[nodes[indices[k]]] = float(edge_weight[k])
         return graph
-
-    # ------------------------------------------------------------------
-    # Identity
-    # ------------------------------------------------------------------
-    def structure_signature(self) -> str:
-        """Cheap relabelling-invariant signature of the weighted structure.
-
-        The array sibling of
-        :func:`repro.service.fingerprint.structural_fingerprint`: a
-        SHA-256 over the sorted degree, node-weight and edge-weight
-        multisets.  It only has to *discriminate* — it keys the Fiedler
-        warm-start cache, where a collision merely seeds an eigensolve
-        with an unhelpful start vector (correctness is unaffected) —
-        so the full Weisfeiler-Leman refinement is skipped in favour of
-        O(n log n + m log m) numpy sorts.
-        """
-        if self._signature is None:
-            import hashlib
-
-            h = hashlib.sha256()
-            h.update(np.int64(self.node_count).tobytes())
-            h.update(np.sort(self.degrees()).tobytes())
-            h.update(np.sort(self.node_weight).tobytes())
-            h.update(np.sort(self.edge_weight).tobytes())
-            self._signature = h.hexdigest()
-        return self._signature
 
 
 def as_csr(

@@ -42,13 +42,6 @@ from repro.mec.system import MECSystem, SystemConsumption
 
 _EPS = 1e-12
 
-GREEDY_KERNELS = ("python", "numpy", "auto")
-"""Inner-loop implementations for Algorithm 2's candidate evaluation:
-``"python"`` scores candidates one :meth:`PlacementEvaluator.evaluate_move`
-at a time, ``"numpy"`` batches whole scans through
-:meth:`PlacementEvaluator.evaluate_moves`, ``"auto"`` picks ``numpy``.
-Both produce bit-identical move sequences (asserted in tests)."""
-
 
 @dataclass
 class GreedyResult:
@@ -477,7 +470,6 @@ def generate_offloading_scheme(
     exhaustive: bool = False,
     placement_mode: str = "anchored",
     frozen_remote: Mapping[str, set[int]] | None = None,
-    kernel: str = "auto",
 ) -> GreedyResult:
     """Run Algorithm 2 and return the generated scheme.
 
@@ -493,12 +485,12 @@ def generate_offloading_scheme(
     of magnitude faster on multi-user systems and, because move benefits
     only shrink as the placement drains, virtually always identical.
 
-    *kernel* picks the candidate-scan implementation (see
-    :data:`GREEDY_KERNELS`): full scans — the initial queue fill and every
-    exhaustive-mode iteration — go through the batched
-    :meth:`PlacementEvaluator.evaluate_moves` under ``"numpy"``/``"auto"``,
-    while the lazy loop's single-candidate revalidations stay scalar.
-    The move sequence is bit-identical across kernels.
+    Full scans — the initial queue fill and every exhaustive-mode
+    iteration — go through the batched
+    :meth:`PlacementEvaluator.evaluate_moves`; the lazy loop's
+    single-candidate revalidations use the scalar
+    :meth:`PlacementEvaluator.evaluate_move`.  Both score a move
+    bit-identically.
 
     With a :class:`~repro.mec.channel.SharedChannel` on *system*, the
     effective rate every user transmits at depends on who offloads, and
@@ -519,9 +511,6 @@ def generate_offloading_scheme(
     flip, and the result is bit-identical to the constant-``b`` path
     (pinned by the parity tests).
     """
-    if kernel not in GREEDY_KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; expected one of {GREEDY_KERNELS}")
-    batched = kernel != "python"
     weights = weights or ObjectiveWeights()
     frozen = {uid: set(parts) for uid, parts in (frozen_remote or {}).items()}
     remote = initial_placement(apps, bisections, mode=placement_mode)
@@ -541,11 +530,6 @@ def generate_offloading_scheme(
         history = [best_value]
         moves: list[tuple[str, int]] = []
 
-        def scan_values(scan: list[tuple[str, int]]) -> list[float]:
-            if batched:
-                return evaluator.evaluate_moves(scan)
-            return [evaluator.evaluate_move(user_id, part_id) for user_id, part_id in scan]
-
         if exhaustive:
             while True:
                 best_candidate: tuple[str, int] | None = None
@@ -555,7 +539,7 @@ def generate_offloading_scheme(
                     for user_id, part_id in evaluator.candidates()
                     if movable(user_id, part_id)
                 ]
-                for (user_id, part_id), value in zip(scan, scan_values(scan)):
+                for (user_id, part_id), value in zip(scan, evaluator.evaluate_moves(scan), strict=True):
                     if value < best_candidate_value - _EPS:
                         best_candidate = (user_id, part_id)
                         best_candidate_value = value
@@ -577,7 +561,7 @@ def generate_offloading_scheme(
             ]
             heap: list[tuple[float, str, int]] = [
                 (value, user_id, part_id)
-                for (user_id, part_id), value in zip(scan, scan_values(scan))
+                for (user_id, part_id), value in zip(scan, evaluator.evaluate_moves(scan), strict=True)
             ]
             heapq.heapify(heap)
             while heap:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
 from collections import OrderedDict
 from typing import Any
@@ -44,11 +45,30 @@ class PayloadError(ValueError):
     """A request body that does not describe a valid call graph."""
 
 
+def _finite_number(value: Any) -> float | None:
+    """*value* as a finite float, or ``None`` if it is not a finite number.
+
+    ``json.loads`` accepts the ``NaN`` and ``Infinity`` tokens, and a NaN
+    weight slips past every ``< 0`` check downstream, so non-finite
+    numbers must be rejected by the parser.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            return None
+        if math.isfinite(number):
+            return number
+    return None
+
+
 def parse_graph_payload(payload: Any) -> FunctionCallGraph:
     """Build a :class:`FunctionCallGraph` from a decoded JSON payload.
 
     Raises :class:`PayloadError` with a caller-actionable message on any
-    shape problem; the frontend maps that to a 400 response.
+    shape problem or structurally invalid graph (negative computation,
+    non-positive flow, self-loop); the frontend maps that to a 400
+    response.
     """
     if not isinstance(payload, dict):
         raise PayloadError("request body must be a JSON object")
@@ -63,11 +83,11 @@ def parse_graph_payload(payload: Any) -> FunctionCallGraph:
         if not isinstance(entry, dict):
             raise PayloadError("each function must be an object")
         name = entry.get("name")
-        computation = entry.get("computation")
         if not isinstance(name, str) or not name:
             raise PayloadError("function name must be a non-empty string")
-        if not isinstance(computation, (int, float)) or isinstance(computation, bool):
-            raise PayloadError(f"function {name!r} needs a numeric computation")
+        computation = _finite_number(entry.get("computation"))
+        if computation is None:
+            raise PayloadError(f"function {name!r} needs a finite numeric computation")
         component = entry.get("component", "main")
         offloadable = entry.get("offloadable", True)
         if not isinstance(component, str):
@@ -76,9 +96,12 @@ def parse_graph_payload(payload: Any) -> FunctionCallGraph:
             raise PayloadError(f"function {name!r} offloadable must be a boolean")
         if graph.graph.has_node(name):
             raise PayloadError(f"duplicate function {name!r}")
-        graph.add_function(
-            name, computation=float(computation), component=component, offloadable=offloadable
-        )
+        try:
+            graph.add_function(
+                name, computation=computation, component=component, offloadable=offloadable
+            )
+        except ValueError as exc:
+            raise PayloadError(f"function {name!r}: {exc}") from exc
     flows = payload.get("data_flows", [])
     if not isinstance(flows, list):
         raise PayloadError("data_flows must be a list")
@@ -88,11 +111,15 @@ def parse_graph_payload(payload: Any) -> FunctionCallGraph:
         u, v, amount = flow
         if not isinstance(u, str) or not isinstance(v, str):
             raise PayloadError("data flow endpoints must be function names")
-        if not isinstance(amount, (int, float)) or isinstance(amount, bool):
-            raise PayloadError(f"data flow {u!r}-{v!r} needs a numeric amount")
+        amount = _finite_number(amount)
+        if amount is None:
+            raise PayloadError(f"data flow {u!r}-{v!r} needs a finite numeric amount")
         if not graph.graph.has_node(u) or not graph.graph.has_node(v):
             raise PayloadError(f"data flow {u!r}-{v!r} references unknown functions")
-        graph.add_data_flow(u, v, float(amount))
+        try:
+            graph.add_data_flow(u, v, amount)
+        except ValueError as exc:
+            raise PayloadError(f"data flow {u!r}-{v!r}: {exc}") from exc
     return graph
 
 

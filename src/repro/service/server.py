@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.callgraph.model import FunctionCallGraph
 from repro.core.planner import OffloadingPlanner
@@ -205,7 +205,6 @@ class PlanService:
             strategy_name=planner.strategy_name,
             config=planner.config,
             processes=self.config.workers,
-            warm_source=planner,
         )
         self._threads: list[threading.Thread] = []
         self._started = False

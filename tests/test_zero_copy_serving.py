@@ -28,6 +28,7 @@ from repro.callgraph.model import FunctionCallGraph
 from repro.core import make_planner
 from repro.service import (
     HttpFrontendThread,
+    PayloadError,
     PlanService,
     PlanningBackend,
     SegmentLostError,
@@ -146,9 +147,9 @@ class TestZeroCopyExecutorParity:
         assert thread == process
 
     def test_worker_recycling_preserves_parity(self):
-        # maxtasksperchild=1 forks a fresh worker per task: the warm-start
-        # priming and segment decode cache rebuild every time, and plans
-        # must still be bit-identical.
+        # maxtasksperchild=1 forks a fresh worker per task: the planner
+        # and segment decode cache rebuild every time, and plans must
+        # still be bit-identical.
         graphs = [_random_call_graph(seed, app_name=f"app{seed}") for seed in range(6)]
         thread = self._digests(PlanningBackend(executor="thread"), graphs)
         recycled = self._digests(
@@ -226,6 +227,33 @@ class TestZeroCopyExecutorParity:
         assert _chunksize(64, 4) == 4
         assert _chunksize(10_000, 4) == _MAX_CHUNKSIZE
         assert _chunksize(8, 0) == 2  # worker floor of 1
+
+
+def _two_function_payload(
+    computation: float = 1.0, flow: tuple[str, str, float] = ("a", "b", 1.0)
+) -> dict:
+    return {
+        "app_name": "bad",
+        "functions": [
+            {"name": "a", "computation": computation},
+            {"name": "b", "computation": 1.0},
+        ],
+        "data_flows": [list(flow)],
+    }
+
+
+INVALID_GRAPH_PAYLOADS = {
+    "negative-computation": _two_function_payload(computation=-1.0),
+    "zero-amount": _two_function_payload(flow=("a", "b", 0.0)),
+    "negative-amount": _two_function_payload(flow=("a", "b", -2.5)),
+    "self-loop": _two_function_payload(flow=("a", "a", 1.0)),
+    "nan-computation": _two_function_payload(computation=float("nan")),
+    "infinite-computation": _two_function_payload(computation=float("inf")),
+    "nan-amount": _two_function_payload(flow=("a", "b", float("nan"))),
+    "infinite-amount": _two_function_payload(flow=("a", "b", float("inf"))),
+}
+"""Well-formed JSON (``json.dumps`` writes ``NaN``/``Infinity`` tokens)
+describing a graph that is structurally invalid."""
 
 
 class TestHttpFrontend:
@@ -309,6 +337,22 @@ class TestHttpFrontend:
             status, raw = self._get(port, "/metrics")
             assert status == 200
             assert b"worker_pool_size" in raw and b"plan cache" in raw
+
+    @pytest.mark.parametrize(
+        "payload", INVALID_GRAPH_PAYLOADS.values(), ids=INVALID_GRAPH_PAYLOADS.keys()
+    )
+    def test_invalid_graph_answers_400(self, payload):
+        # Rejected at parse time, before any planner or service check.
+        with pytest.raises(PayloadError):
+            parse_graph_payload(json.loads(json.dumps(payload)))
+        with (
+            PlanService(make_planner("spectral"), ServiceConfig(workers=1)) as service,
+            HttpFrontendThread(service) as frontend,
+        ):
+            port = frontend.start()
+            status, body = self._post(port, "/plan", payload)
+        assert status == 400
+        assert body["error"]["code"] == "invalid-graph"
 
     def test_loop_stays_responsive_during_slow_plan(self):
         # Regression guard for the async-safety fixes: the blocking
