@@ -10,6 +10,8 @@ available here, so this package provides the closest synthetic equivalent:
 * :mod:`repro.callgraph.extractor` — a static analyzer that walks that IR
   and produces the weighted function data-flow graph the algorithms
   consume, exactly the artifact Soot would have produced;
+* :mod:`repro.callgraph.interpreter` — a bytecode interpreter that measures
+  the same weights dynamically, the oracle the extractor is tested against;
 * :mod:`repro.callgraph.offloadability` — the rule set that marks functions
   as unoffloadable (sensor access, local I/O, UI interaction);
 * :mod:`repro.callgraph.model` — the :class:`FunctionCallGraph` wrapper
@@ -33,12 +35,6 @@ from repro.callgraph.offloadability import (
     OffloadabilityPolicy,
     classify_offloadability,
 )
-from repro.callgraph.textformat import (
-    format_call_graph_text,
-    load_call_graph_text,
-    parse_call_graph_text,
-    save_call_graph_text,
-)
 
 __all__ = [
     "Opcode",
@@ -53,8 +49,4 @@ __all__ = [
     "FunctionInfo",
     "OffloadabilityPolicy",
     "classify_offloadability",
-    "parse_call_graph_text",
-    "format_call_graph_text",
-    "load_call_graph_text",
-    "save_call_graph_text",
 ]

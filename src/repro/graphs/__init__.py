@@ -54,12 +54,6 @@ from repro.graphs.metrics import (
     node_weight_summary,
     volume,
 )
-from repro.graphs.spanning import (
-    SpanningForest,
-    backbone_fraction,
-    maximum_spanning_forest,
-    minimum_spanning_forest,
-)
 from repro.graphs.random_models import (
     barabasi_albert_graph,
     erdos_renyi_graph,
@@ -127,8 +121,4 @@ __all__ = [
     "erdos_renyi_graph",
     "barabasi_albert_graph",
     "watts_strogatz_graph",
-    "maximum_spanning_forest",
-    "minimum_spanning_forest",
-    "backbone_fraction",
-    "SpanningForest",
 ]

@@ -14,7 +14,6 @@ from repro.mec.admission import (
     QueueTheoreticAllocation,
     ServerAllocation,
 )
-from repro.mec.battery import BatteryModel
 from repro.mec.channel import (
     ChannelQuality,
     SharedChannel,
@@ -38,7 +37,6 @@ from repro.mec.game import (
 from repro.mec.greedy import GreedyResult, generate_offloading_scheme
 from repro.mec.objective import ObjectiveWeights
 from repro.mec.online import AdmissionRecord, OnlinePlanner, regret_vs_offline
-from repro.mec.pareto import ParetoPoint, explore_tradeoff, pareto_front
 from repro.mec.scheme import OffloadingScheme, PartitionedApplication, SchemePart
 from repro.mec.system import MECSystem, SystemConsumption, UserContext
 from repro.mec.validation import ValidationResult, validate_scheme
@@ -60,9 +58,6 @@ __all__ = [
     "transmission_energy",
     "transmission_time",
     "ObjectiveWeights",
-    "ParetoPoint",
-    "explore_tradeoff",
-    "pareto_front",
     "MECSystem",
     "UserContext",
     "SystemConsumption",
@@ -80,7 +75,6 @@ __all__ = [
     "solo_offload_set",
     "validate_scheme",
     "ValidationResult",
-    "BatteryModel",
     "OnlinePlanner",
     "AdmissionRecord",
     "regret_vs_offline",

@@ -3,28 +3,19 @@
 The paper compares its spectral cut against "the maximum flow minimum cut
 algorithm" (Ford-Fulkerson, specialised as Edmonds-Karp).  This package
 implements that baseline from scratch on the undirected weighted graph
-substrate, plus two extensions used by the ablation benches: Dinic's
-algorithm and the Stoer-Wagner global minimum cut.
+substrate, with the source/sink selection that turns an s-t cut into the
+bisection the planner needs.  Tests and the cut-algorithm ablation bench
+use ``networkx`` as the independent min-cut oracle.
 """
 
-from repro.mincut.dinic import dinic_max_flow
 from repro.mincut.edmonds_karp import MaxFlowResult, edmonds_karp
-from repro.mincut.gomory_hu import GomoryHuTree, gomory_hu_tree
-from repro.mincut.karger import KargerResult, karger_min_cut
 from repro.mincut.residual import ResidualNetwork
 from repro.mincut.st_selection import maxflow_bisect, select_source_sink
-from repro.mincut.stoer_wagner import stoer_wagner_min_cut
 
 __all__ = [
     "ResidualNetwork",
     "edmonds_karp",
     "MaxFlowResult",
-    "dinic_max_flow",
-    "stoer_wagner_min_cut",
     "select_source_sink",
     "maxflow_bisect",
-    "gomory_hu_tree",
-    "GomoryHuTree",
-    "karger_min_cut",
-    "KargerResult",
 ]

@@ -3,13 +3,13 @@
 Kernighan-Lin (1970) is the classic two-way partition-improvement
 heuristic the paper compares against; :mod:`repro.partition.refinement`
 adds a Fiduccia-Mattheyses-style single-move refinement pass used both as
-an ablation and as an optional polish step after spectral bisection.
+an ablation and as an optional polish step after spectral bisection, and
+:mod:`repro.partition.multilevel` coarsens before running KL.
 """
 
 from repro.partition.kernighan_lin import KLResult, kernighan_lin_bisect
 from repro.partition.multilevel import MultilevelResult, multilevel_kl_bisect
 from repro.partition.refinement import fm_refine
-from repro.partition.region_growth import RegionGrowthResult, region_growth_bisect
 
 __all__ = [
     "kernighan_lin_bisect",
@@ -17,6 +17,4 @@ __all__ = [
     "fm_refine",
     "multilevel_kl_bisect",
     "MultilevelResult",
-    "region_growth_bisect",
-    "RegionGrowthResult",
 ]

@@ -35,7 +35,6 @@ from repro.service.fingerprint import (
     config_fingerprint,
     graph_fingerprint,
     request_fingerprint,
-    structural_fingerprint,
 )
 from repro.service.http import (
     HttpFrontend,
@@ -71,7 +70,6 @@ from repro.service.server import (
 __all__ = [
     "FingerprintError",
     "graph_fingerprint",
-    "structural_fingerprint",
     "config_fingerprint",
     "request_fingerprint",
     "PlanCache",

@@ -4,7 +4,7 @@
 which fails exactly in the realistic serving scenario: millions of users
 running the same application submit structurally identical graphs as
 distinct objects.  This module gives every (graph, config) pair a stable
-name, at two tiers:
+name:
 
 * :func:`graph_fingerprint` — the **content** fingerprint: a SHA-256
   over the canonically sorted functions and data flows.  Invariant under
@@ -12,13 +12,8 @@ name, at two tiers:
   weights, components and offloadability.  This is the cache key: two
   graphs with the same content fingerprint produce byte-identical plans,
   so one may safely answer for the other.
-* :func:`structural_fingerprint` — the **structural** fingerprint: a
-  Weisfeiler–Leman colour-refinement hash that is additionally invariant
-  under node *relabelling* (isomorphic graphs hash equal).  Plans name
-  concrete functions, so relabelled graphs cannot share cache entries —
-  but the structural tier lets the service report how many genuinely
-  distinct application *shapes* it is seeing, and deduplicates analytics
-  across renamed builds of the same app.
+* :func:`config_fingerprint` / :func:`request_fingerprint` — the same
+  canonical hashing over planner configs and (graph, config) pairs.
 
 Floats are canonicalised through ``repr`` (shortest round-trip form in
 CPython >= 3.1), so equal weights hash equal regardless of how they were
@@ -34,11 +29,6 @@ from enum import Enum
 from typing import Any
 
 from repro.callgraph.model import FunctionCallGraph
-
-_WL_ROUNDS = 3
-"""Colour-refinement rounds.  Three rounds separate everything label
-propagation or a spectral cut could separate on workload-scale graphs;
-the hash only has to *discriminate*, not certify isomorphism."""
 
 
 class FingerprintError(TypeError):
@@ -90,51 +80,6 @@ def graph_fingerprint(call_graph: FunctionCallGraph) -> str:
         "graph-v1",
         json.dumps(nodes, separators=(",", ":")),
         json.dumps(edges, separators=(",", ":")),
-    )
-
-
-def structural_fingerprint(call_graph: FunctionCallGraph) -> str:
-    """Relabelling-invariant hash of *call_graph*'s weighted structure.
-
-    Weisfeiler–Leman colour refinement: every node starts with a colour
-    derived from its (computation, component, offloadability) triple and
-    repeatedly absorbs the sorted multiset of its ``(edge weight,
-    neighbour colour)`` pairs.  The final hash combines the sorted node
-    colours with the sorted edge signatures, so any bijective renaming
-    of the functions leaves it unchanged, while perturbing any weight or
-    flag changes it.
-    """
-    graph = call_graph.graph
-    colors: dict[str, str] = {}
-    for name in call_graph.functions():
-        info = call_graph.info(name)
-        colors[name] = _digest(
-            "node-v1",
-            _canon_float(info.computation),
-            info.component,
-            "1" if info.offloadable else "0",
-        )
-
-    for _ in range(_WL_ROUNDS):
-        updated: dict[str, str] = {}
-        for name in colors:
-            signature = sorted(
-                (_canon_float(weight), colors[neighbor])
-                for neighbor, weight in graph.neighbor_items(name)
-            )
-            updated[name] = _digest(
-                "refine-v1", colors[name], json.dumps(signature, separators=(",", ":"))
-            )
-        colors = updated
-
-    edge_signatures = sorted(
-        _digest("edge-v1", _canon_float(w), *sorted((colors[u], colors[v])))
-        for u, v, w in graph.edges()
-    )
-    return _digest(
-        "struct-v1",
-        json.dumps(sorted(colors.values()), separators=(",", ":")),
-        json.dumps(edge_signatures, separators=(",", ":")),
     )
 
 

@@ -241,29 +241,32 @@ class HttpFrontend:
     async def _handle_one(
         self, reader: asyncio.StreamReader
     ) -> tuple[int, str, bytes]:
+        # readline raises ValueError for a line past the reader's 64 KiB
+        # limit; readexactly raises IncompleteReadError when the client
+        # closes before sending Content-Length bytes.
         try:
             request_line = await reader.readline()
-        except (ConnectionError, asyncio.LimitOverrunError):
-            return 400, _JSON, _error_body("bad-request", "unreadable request")
-        parts = request_line.decode("latin-1").split()
-        if len(parts) < 2:
-            return 400, _JSON, _error_body("bad-request", "malformed request line")
-        method, path = parts[0].upper(), parts[1]
+            parts = request_line.decode("latin-1").split()
+            if len(parts) < 2:
+                return 400, _JSON, _error_body("bad-request", "malformed request line")
+            method, path = parts[0].upper(), parts[1]
 
-        content_length = 0
-        while True:
-            line = await reader.readline()
-            if line in (b"", b"\r\n", b"\n"):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    return 400, _JSON, _error_body("bad-request", "bad content-length")
-        if content_length < 0 or content_length > _MAX_BODY_BYTES:
-            return 413, _JSON, _error_body("too-large", "request body too large")
-        body = await reader.readexactly(content_length) if content_length else b""
+            content_length = 0
+            while True:
+                line = await reader.readline()
+                if line in (b"", b"\r\n", b"\n"):
+                    break
+                name, _, value = line.decode("latin-1").partition(":")
+                if name.strip().lower() == "content-length":
+                    try:
+                        content_length = int(value.strip())
+                    except ValueError:
+                        return 400, _JSON, _error_body("bad-request", "bad content-length")
+            if content_length < 0 or content_length > _MAX_BODY_BYTES:
+                return 413, _JSON, _error_body("too-large", "request body too large")
+            body = await reader.readexactly(content_length) if content_length else b""
+        except (ConnectionError, ValueError, asyncio.IncompleteReadError):
+            return 400, _JSON, _error_body("bad-request", "unreadable request")
 
         if method == "GET" and path == "/healthz":
             return 200, _JSON, json.dumps({"status": "ok"}).encode()
@@ -287,6 +290,8 @@ class HttpFrontend:
             graph = parse_graph_payload(payload)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             return 400, _JSON, _error_body("bad-json", f"invalid JSON body: {exc}")
+        except RecursionError:
+            return 400, _JSON, _error_body("bad-json", "JSON body nested too deeply")
         except PayloadError as exc:
             return 400, _JSON, _error_body("invalid-graph", str(exc))
         # submit() takes the queue condition and metrics locks; under a
@@ -374,7 +379,10 @@ class HttpFrontendThread:
         self._startup_error: Exception | None = None
 
     def start(self, timeout: float = 10.0) -> int:
-        """Start the loop thread and return the bound port."""
+        """Start the loop thread and return the bound port (idempotent:
+        ``with HttpFrontendThread(...) as f: f.start()`` starts one loop)."""
+        if self._thread is not None:
+            return self.frontend.port
         self._thread = threading.Thread(
             target=self._run, name="plan-http-frontend", daemon=True
         )

@@ -383,12 +383,13 @@ class PlanService:
         """Publish one flight's outcome: cache, metrics, resolve, dequeue."""
         if plan is not None and not cached:
             self.cache.put(flight.key, plan)
+            # Only a fresh plan is a stage sample: a hit carries the timings
+            # of the plan it was cached from.
+            for stage, seconds in plan.stage_seconds.items():
+                self.metrics.histogram(f"stage_{stage}_seconds").observe(seconds)
         if error is not None:
             self.metrics.counter("requests_errored").inc()
             self.metrics.counter(f"errors_{error.code}").inc()
-        if plan is not None:
-            for stage, seconds in plan.stage_seconds.items():
-                self.metrics.histogram(f"stage_{stage}_seconds").observe(seconds)
         self.metrics.histogram("service_seconds").observe(time.perf_counter() - started)
         flight.resolve(
             PlanResponse(

@@ -1,86 +1,15 @@
-"""Tests for the cluster-distributed compressor and simulation properties."""
+"""Property tests of the simulator against the analytic model."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression import CompressionConfig, GraphCompressor
-from repro.compression.labels import AbsoluteThreshold
-from repro.distributed import ClusterCompressor, LocalCluster
-from repro.graphs.weighted_graph import WeightedGraph
 from repro.mec.devices import DeviceProfile, EdgeServer, MobileDevice
 from repro.mec.scheme import PartitionedApplication
 from repro.mec.system import MECSystem, UserContext
 from repro.callgraph.model import FunctionCallGraph
 from repro.simulation import simulate_scheme
-from repro.workloads.netgen import NetgenConfig, netgen_graph
-from tests.test_properties_graphs import weighted_graphs
-
-
-class TestClusterCompressor:
-    def test_matches_serial_compressor(self):
-        graph = netgen_graph(NetgenConfig(n_nodes=240, n_edges=1100, seed=21))
-        serial = GraphCompressor().compress(graph)
-        with LocalCluster(workers=2) as cluster:
-            distributed = ClusterCompressor(cluster).compress(graph)
-        assert serial.compressed.clusters == distributed.compressed.clusters
-        assert (
-            serial.compressed.graph.edge_list()
-            == distributed.compressed.graph.edge_list()
-        )
-
-    def test_one_task_per_component(self):
-        graph = netgen_graph(NetgenConfig(n_nodes=240, n_edges=1100, seed=22))
-        from repro.graphs.components import connected_components
-
-        n_components = len(connected_components(graph))
-        with LocalCluster(workers=2) as cluster:
-            ClusterCompressor(cluster).compress(graph)
-            assert cluster.stats.tasks == n_components
-            assert cluster.stats.stages == 1
-
-    def test_survives_transient_task_failures(self):
-        """With retries on, a flaky first execution must not change the
-        result (propagation tasks are pure)."""
-        graph = netgen_graph(NetgenConfig(n_nodes=120, n_edges=500, seed=23))
-        expected = GraphCompressor().compress(graph).compressed.clusters
-
-        fail_budget = {"left": 2}
-        original_run = None
-
-        from repro.compression.propagation import LabelPropagation
-
-        original_run = LabelPropagation.run
-
-        def flaky_run(self, subgraph):
-            if fail_budget["left"] > 0:
-                fail_budget["left"] -= 1
-                raise OSError("executor lost")
-            return original_run(self, subgraph)
-
-        LabelPropagation.run = flaky_run
-        try:
-            with LocalCluster(workers=1, max_task_retries=3) as cluster:
-                result = ClusterCompressor(cluster).compress(graph)
-                assert cluster.stats.retries == 2
-        finally:
-            LabelPropagation.run = original_run
-        assert result.compressed.clusters == expected
-
-    def test_empty_graph(self):
-        with LocalCluster(workers=1) as cluster:
-            result = ClusterCompressor(cluster).compress(WeightedGraph())
-        assert result.compressed.graph.node_count == 0
-
-    @given(weighted_graphs(), st.floats(0.0, 25.0))
-    @settings(max_examples=20, deadline=None)
-    def test_property_equivalence_with_serial(self, graph, threshold):
-        config = CompressionConfig(threshold_rule=AbsoluteThreshold(threshold))
-        serial = GraphCompressor(config).compress(graph)
-        with LocalCluster(workers=2) as cluster:
-            distributed = ClusterCompressor(cluster, config).compress(graph)
-        assert serial.compressed.clusters == distributed.compressed.clusters
 
 
 @st.composite

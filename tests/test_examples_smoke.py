@@ -57,11 +57,6 @@ class TestExamples:
         assert "healthy" in out
         assert "server loses half capacity" in out
 
-    def test_energy_time_tradeoff(self, capsys):
-        out = run_example("energy_time_tradeoff.py", capsys)
-        assert "Pareto frontier" in out
-        assert "Algorithm 2 (E+T)" in out
-
     def test_scenario_comparison(self, capsys):
         out = run_example("scenario_comparison.py", capsys)
         assert "five conditions" in out

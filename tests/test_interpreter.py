@@ -1,15 +1,10 @@
-"""Tests for the bytecode interpreter and the Gomory-Hu tree."""
+"""Tests for the bytecode interpreter, the dynamic oracle of the static extractor."""
 
 import pytest
 
 from repro.callgraph.bytecode import ApplicationBinary
 from repro.callgraph.extractor import extract_call_graph
 from repro.callgraph.interpreter import BytecodeInterpreter, profile_application
-from repro.graphs.generators import random_connected_graph, two_cluster_graph
-from repro.mincut.edmonds_karp import edmonds_karp
-from repro.mincut.gomory_hu import gomory_hu_tree
-from repro.mincut.stoer_wagner import stoer_wagner_min_cut
-from repro.graphs.weighted_graph import WeightedGraph
 
 
 def tree_binary() -> ApplicationBinary:
@@ -88,57 +83,3 @@ class TestInterpreter:
         with pytest.raises(ValueError):
             BytecodeInterpreter(binary)
 
-
-class TestGomoryHu:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_pairwise_cuts_match_direct_maxflow(self, seed):
-        g = random_connected_graph(9, 16, seed=seed)
-        tree = gomory_hu_tree(g)
-        nodes = g.node_list()
-        for i in range(len(nodes)):
-            for j in range(i + 1, len(nodes)):
-                direct = edmonds_karp(g, nodes[i], nodes[j]).value
-                via_tree = tree.min_cut_value(nodes[i], nodes[j])
-                assert via_tree == pytest.approx(direct), (nodes[i], nodes[j])
-
-    def test_lightest_edge_is_global_min_cut(self):
-        for seed in range(3):
-            g = random_connected_graph(10, 20, seed=seed)
-            tree = gomory_hu_tree(g)
-            tree_value, child = tree.global_min_cut()
-            sw_value, _ = stoer_wagner_min_cut(g)
-            assert tree_value == pytest.approx(sw_value)
-            # The tree side is a certificate: its cut weight matches.
-            side = tree.side_of(child)
-            assert g.cut_weight(side) == pytest.approx(tree_value)
-
-    def test_two_clusters_tree_edge(self):
-        g = two_cluster_graph(4, intra_weight=10.0, bridge_weight=1.5)
-        tree = gomory_hu_tree(g)
-        value, child = tree.global_min_cut()
-        assert value == pytest.approx(1.5)
-        assert tree.side_of(child) in (set(range(4)), set(range(4, 8)))
-
-    def test_tree_structure(self):
-        g = random_connected_graph(8, 14, seed=5)
-        tree = gomory_hu_tree(g)
-        assert len(tree.edges()) == g.node_count - 1
-        assert tree.parent[tree.root] is None
-
-    def test_same_node_rejected(self):
-        g = random_connected_graph(5, 7, seed=6)
-        tree = gomory_hu_tree(g)
-        with pytest.raises(ValueError):
-            tree.min_cut_value(0, 0)
-
-    def test_empty_graph_rejected(self):
-        with pytest.raises(ValueError):
-            gomory_hu_tree(WeightedGraph())
-
-    def test_single_node_tree(self):
-        g = WeightedGraph()
-        g.add_node("x")
-        tree = gomory_hu_tree(g)
-        assert tree.edges() == []
-        with pytest.raises(ValueError):
-            tree.global_min_cut()

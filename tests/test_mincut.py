@@ -8,11 +8,9 @@ from repro.graphs.generators import (
     two_cluster_graph,
 )
 from repro.graphs.weighted_graph import WeightedGraph
-from repro.mincut.dinic import dinic_max_flow
 from repro.mincut.edmonds_karp import edmonds_karp
 from repro.mincut.residual import ResidualNetwork
 from repro.mincut.st_selection import maxflow_bisect, select_source_sink
-from repro.mincut.stoer_wagner import stoer_wagner_min_cut
 
 
 def diamond() -> WeightedGraph:
@@ -112,56 +110,14 @@ class TestEdmondsKarp:
         assert not result.source_side & result.sink_side
 
 
-class TestDinic:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_matches_edmonds_karp(self, seed):
-        g = random_connected_graph(12, 26, seed=seed)
-        ek = edmonds_karp(g, 0, 11)
-        dn = dinic_max_flow(g, 0, 11)
-        assert dn.value == pytest.approx(ek.value)
-
-    def test_cut_certificate(self):
-        g = random_connected_graph(10, 20, seed=7)
-        result = dinic_max_flow(g, 0, 9)
-        assert g.cut_weight(result.source_side) == pytest.approx(result.value)
-
-    def test_diamond(self):
-        assert dinic_max_flow(diamond(), "s", "t").value == pytest.approx(5.0)
-
-    def test_phases_bounded(self):
-        g = random_connected_graph(15, 30, seed=8)
-        result = dinic_max_flow(g, 0, 14)
-        assert result.augmentations <= g.node_count
-
-
 class TestStoerWagner:
-    def test_two_clusters_global_cut(self):
-        g = two_cluster_graph(4, intra_weight=10.0, bridge_weight=0.7)
-        value, side = stoer_wagner_min_cut(g)
-        assert value == pytest.approx(0.7)
-        assert side in ({0, 1, 2, 3}, {4, 5, 6, 7})
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_matches_networkx(self, seed):
+    def test_global_leq_any_st_cut(self):
         networkx = pytest.importorskip("networkx")
-        g = random_connected_graph(10, 22, seed=seed)
+        g = random_connected_graph(11, 20, seed=9)
         nxg = networkx.Graph()
         for u, v, w in g.edges():
             nxg.add_edge(u, v, weight=w)
-        expected, _ = networkx.stoer_wagner(nxg)
-        value, side = stoer_wagner_min_cut(g)
-        assert value == pytest.approx(expected)
-        assert g.cut_weight(side) == pytest.approx(value)
-
-    def test_too_small_rejected(self):
-        g = WeightedGraph()
-        g.add_node("only")
-        with pytest.raises(ValueError):
-            stoer_wagner_min_cut(g)
-
-    def test_global_leq_any_st_cut(self):
-        g = random_connected_graph(11, 20, seed=9)
-        global_value, _ = stoer_wagner_min_cut(g)
+        global_value, _ = networkx.stoer_wagner(nxg)
         st = edmonds_karp(g, 0, 10)
         assert global_value <= st.value + 1e-9
 

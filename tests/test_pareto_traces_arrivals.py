@@ -1,19 +1,11 @@
-"""Tests for Pareto exploration, workload traces, and simulated arrivals."""
+"""Tests for workload traces and simulated arrivals."""
 
 import pytest
 
-from repro.core.baselines import spectral_cut_strategy
 from repro.mec.devices import DeviceProfile, EdgeServer, MobileDevice
-from repro.mec.pareto import (
-    DEFAULT_RATIOS,
-    ParetoPoint,
-    explore_tradeoff,
-    pareto_front,
-)
 from repro.mec.scheme import PartitionedApplication
 from repro.mec.system import MECSystem, UserContext
 from repro.simulation import simulate_scheme
-from repro.workloads.applications import synthesize_application
 from repro.workloads.multiuser import build_mec_system, poisson_arrivals
 from repro.workloads.profiles import quick_profile
 from repro.workloads.traces import load_trace, save_trace
@@ -21,69 +13,6 @@ from repro.workloads.traces import load_trace, save_trace
 PROFILE = DeviceProfile(
     compute_capacity=20.0, power_compute=1.0, power_transmit=6.0, bandwidth=70.0
 )
-
-
-class TestParetoPoint:
-    def test_dominates(self):
-        a = ParetoPoint(1.0, 1.0, 1, 1, 0)
-        b = ParetoPoint(2.0, 2.0, 1, 1, 0)
-        c = ParetoPoint(0.5, 3.0, 1, 1, 0)
-        assert a.dominates(b)
-        assert not b.dominates(a)
-        assert not a.dominates(c) and not c.dominates(a)
-
-    def test_front_filters_dominated(self):
-        points = [
-            ParetoPoint(1.0, 4.0, 1, 1, 0),
-            ParetoPoint(2.0, 2.0, 1, 1, 0),
-            ParetoPoint(4.0, 1.0, 1, 1, 0),
-            ParetoPoint(3.0, 3.0, 1, 1, 0),  # dominated by (2, 2)
-        ]
-        front = pareto_front(points)
-        assert len(front) == 3
-        assert all(p.energy != 3.0 for p in front)
-
-    def test_front_deduplicates(self):
-        points = [ParetoPoint(1.0, 1.0, 1, 1, 0), ParetoPoint(1.0, 1.0, 2, 1, 0)]
-        assert len(pareto_front(points)) == 1
-
-
-class TestExploreTradeoff:
-    @pytest.fixture
-    def system_and_graphs(self):
-        app = synthesize_application("pareto", n_functions=60, seed=5)
-        device = MobileDevice("u1", profile=PROFILE)
-        system = MECSystem(EdgeServer(300.0), [UserContext(device, app)])
-        return system, {"u1": app}
-
-    def test_sweep_produces_one_point_per_ratio(self, system_and_graphs):
-        system, graphs = system_and_graphs
-        points = explore_tradeoff(system, graphs, spectral_cut_strategy())
-        assert len(points) == len(DEFAULT_RATIOS)
-
-    def test_extremes_order_correctly(self, system_and_graphs):
-        """The time-only extreme is at least as fast as the energy-only
-        extreme, and vice versa for energy."""
-        system, graphs = system_and_graphs
-        points = explore_tradeoff(
-            system, graphs, spectral_cut_strategy(), ratios=(0.0, float("inf"))
-        )
-        time_only, energy_only = points
-        assert time_only.time <= energy_only.time + 1e-9
-        assert energy_only.energy <= time_only.energy + 1e-9
-
-    def test_front_is_subset_and_nonempty(self, system_and_graphs):
-        system, graphs = system_and_graphs
-        points = explore_tradeoff(system, graphs, spectral_cut_strategy())
-        front = pareto_front(points)
-        assert front
-        sampled = {(p.energy, p.time) for p in points}
-        assert all((p.energy, p.time) in sampled for p in front)
-
-    def test_negative_ratio_rejected(self, system_and_graphs):
-        system, graphs = system_and_graphs
-        with pytest.raises(ValueError):
-            explore_tradeoff(system, graphs, spectral_cut_strategy(), ratios=(-1.0,))
 
 
 class TestTraces:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,6 @@ from repro.graphs.laplacian import laplacian_matrix
 from repro.graphs.validation import check_graph_invariants
 from repro.graphs.weighted_graph import WeightedGraph
 from repro.mincut.edmonds_karp import edmonds_karp
-from repro.mincut.stoer_wagner import stoer_wagner_min_cut
 from repro.partition.kernighan_lin import kernighan_lin_bisect
 from repro.spectral.bisection import spectral_bisect
 from tests.test_properties_graphs import weighted_graphs
@@ -100,15 +100,19 @@ def test_maxflow_min_cut_duality(graph):
 @given(weighted_graphs(min_nodes=3))
 @settings(max_examples=30, deadline=None)
 def test_global_min_cut_leq_st_cut(graph):
+    networkx = pytest.importorskip("networkx")
     from repro.graphs.components import is_connected
 
     if not is_connected(graph):
         return
     nodes = graph.node_list()
     st_result = edmonds_karp(graph, nodes[0], nodes[-1])
-    global_value, side = stoer_wagner_min_cut(graph)
+    nxg = networkx.Graph()
+    for u, v, w in graph.edges():
+        nxg.add_edge(u, v, weight=w)
+    global_value, (side, _) = networkx.stoer_wagner(nxg)
     assert global_value <= st_result.value + 1e-9
-    assert np.isclose(graph.cut_weight(side), global_value)
+    assert np.isclose(graph.cut_weight(set(side)), global_value)
 
 
 @given(weighted_graphs(min_nodes=4))

@@ -37,7 +37,6 @@ from repro.service import (
     plan_from_dict,
     plan_to_dict,
     request_fingerprint,
-    structural_fingerprint,
 )
 from repro.service.batching import PlanRequest
 from repro.workloads import synthesize_application
@@ -73,12 +72,9 @@ def random_call_graph(seed: int, app_name: str = "prop") -> FunctionCallGraph:
     return fcg
 
 
-def rebuild(
-    fcg: FunctionCallGraph, rename=None, order_seed: int | None = None
-) -> FunctionCallGraph:
-    """Reconstruct *fcg*, optionally renaming nodes and/or shuffling the
-    insertion order of functions and flows."""
-    rename = rename or (lambda name: name)
+def rebuild(fcg: FunctionCallGraph, order_seed: int | None = None) -> FunctionCallGraph:
+    """Reconstruct *fcg*, optionally shuffling the insertion order of
+    functions and flows."""
     functions = [fcg.info(name) for name in fcg.functions()]
     flows = list(fcg.graph.edges())
     if order_seed is not None:
@@ -88,13 +84,13 @@ def rebuild(
     clone = FunctionCallGraph(fcg.app_name)
     for info in functions:
         clone.add_function(
-            rename(info.name),
+            info.name,
             computation=info.computation,
             component=info.component,
             offloadable=info.offloadable,
         )
     for u, v, w in flows:
-        clone.add_data_flow(rename(str(u)), rename(str(v)), w)
+        clone.add_data_flow(str(u), str(v), w)
     return clone
 
 
@@ -105,19 +101,6 @@ class TestFingerprint:
         original = random_call_graph(seed)
         reordered = rebuild(original, order_seed=order_seed)
         assert graph_fingerprint(original) == graph_fingerprint(reordered)
-        assert structural_fingerprint(original) == structural_fingerprint(reordered)
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 10_000), order_seed=st.integers(0, 10_000))
-    def test_structural_fingerprint_invariant_under_relabelling(self, seed, order_seed):
-        original = random_call_graph(seed)
-        relabeled = rebuild(
-            original, rename=lambda name: f"renamed::{name}", order_seed=order_seed
-        )
-        assert structural_fingerprint(original) == structural_fingerprint(relabeled)
-        # Content tier is deliberately name-sensitive: cached plans name
-        # concrete functions, so renamed graphs must not share entries.
-        assert graph_fingerprint(original) != graph_fingerprint(relabeled)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), which=st.integers(0, 2))
@@ -143,7 +126,6 @@ class TestFingerprint:
                 info, offloadable=not info.offloadable
             )
         assert graph_fingerprint(original) != graph_fingerprint(mutated)
-        assert structural_fingerprint(original) != structural_fingerprint(mutated)
 
     def test_stable_across_trace_round_trip(self):
         app = synthesize_application("demo", n_functions=30, seed=3)
@@ -417,6 +399,15 @@ class TestPlanService:
             assert not response.ok
             assert response.error.code == "timeout"
             assert service.metrics.counter("requests_timeout").value == 1
+
+    def test_stage_histograms_count_plans_not_hits(self):
+        app = synthesize_application("hits", n_functions=25, seed=12)
+        with PlanService(make_planner("spectral"), ServiceConfig(workers=1)) as service:
+            assert not service.plan(app).cached
+            assert service.plan(call_graph_from_dict(call_graph_to_dict(app))).cached
+            assert service.planner_invocations == 1
+            for stage in ("compress", "cut"):
+                assert service.metrics.histogram(f"stage_{stage}_seconds").count == 1
 
     def test_cache_spill_survives_restart(self, tmp_path):
         spill = tmp_path / "spill.json"

@@ -9,13 +9,17 @@ Covers the serving-layer perf work end to end:
   multi-thread submitters;
 * :class:`PlanningBackend` semantics — batches racing ``close()`` still
   settle, single plans go through the pool, chunksizes are bounded;
-* the HTTP frontend round-tripping real plans over a socket.
+* the HTTP frontend round-tripping real plans over a socket, answering
+  400 to malformed requests, and a property test fuzzing its payload
+  parser.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
+import socket
 import threading
 import time
 import urllib.error
@@ -23,9 +27,12 @@ import urllib.request
 from multiprocessing import shared_memory
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.callgraph.model import FunctionCallGraph
 from repro.core import make_planner
+from repro.graphs.validation import check_graph_invariants
 from repro.service import (
     HttpFrontendThread,
     PayloadError,
@@ -255,6 +262,30 @@ INVALID_GRAPH_PAYLOADS = {
 """Well-formed JSON (``json.dumps`` writes ``NaN``/``Infinity`` tokens)
 describing a graph that is structurally invalid."""
 
+_NESTED_JSON = b"[" * 200_000 + b"]" * 200_000
+MALFORMED_REQUESTS = {
+    "deeply-nested-json": (
+        b"POST /plan HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(_NESTED_JSON)
+        + _NESTED_JSON,
+        "bad-json",
+    ),
+    "request-line-over-64k": (
+        b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+        "bad-request",
+    ),
+    "header-line-over-64k": (
+        b"GET /healthz HTTP/1.1\r\nX-Padding: " + b"a" * 70_000 + b"\r\n\r\n",
+        "bad-request",
+    ),
+    "body-shorter-than-content-length": (
+        b"POST /plan HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"functions\"",
+        "bad-request",
+    ),
+}
+"""Raw requests no HTTP client library would send, each with the error
+code the frontend must answer.  The client closes its write side after
+sending, so a short body ends in EOF rather than a wait."""
+
 
 class TestHttpFrontend:
     def _get(self, port: int, path: str) -> tuple[int, bytes]:
@@ -354,6 +385,40 @@ class TestHttpFrontend:
         assert status == 400
         assert body["error"]["code"] == "invalid-graph"
 
+    def test_start_inside_with_block_runs_one_loop(self):
+        def loop_threads() -> int:
+            return sum(t.name == "plan-http-frontend" for t in threading.enumerate())
+
+        before = loop_threads()
+        with (
+            PlanService(make_planner("spectral"), ServiceConfig(workers=1)) as service,
+            HttpFrontendThread(service) as frontend,
+        ):
+            assert frontend.start() == frontend.start()
+            assert loop_threads() == before + 1
+        assert loop_threads() == before
+
+    @pytest.mark.parametrize(
+        "raw,code", MALFORMED_REQUESTS.values(), ids=MALFORMED_REQUESTS.keys()
+    )
+    def test_malformed_request_answers_400(self, raw, code):
+        with (
+            PlanService(make_planner("spectral"), ServiceConfig(workers=1)) as service,
+            HttpFrontendThread(service) as frontend,
+        ):
+            port = frontend.start()
+            with socket.create_connection(("127.0.0.1", port), timeout=30.0) as sock:
+                sock.sendall(raw)
+                sock.shutdown(socket.SHUT_WR)
+                response = b""
+                while chunk := sock.recv(65536):
+                    response += chunk
+            internal_errors = service.metrics.counter("http_internal_errors").value
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400", head
+        assert json.loads(body)["error"]["code"] == code
+        assert internal_errors == 0
+
     def test_loop_stays_responsive_during_slow_plan(self):
         # Regression guard for the async-safety fixes: the blocking
         # submit/result path runs on the executor, so a slow plan must
@@ -400,3 +465,52 @@ class TestHttpFrontend:
             graph = _random_call_graph(seed)
             rebuilt = parse_graph_payload(graph_to_payload(graph))
             assert graph_fingerprint(rebuilt) == graph_fingerprint(graph)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_WEIGHTS = st.floats(0.0, 1e6) | st.integers(0, 10**6)
+
+
+@st.composite
+def _graph_payloads(draw):
+    """Payloads near the schema: distinct functions, flows between them
+    (self-loops and zero weights included), and in half the draws one
+    field or entry swapped for arbitrary JSON — a NaN, an infinity, a
+    negative, an int past the float range, a string, a list, ..."""
+    names = draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=5, unique=True))
+    functions = [
+        draw(
+            st.fixed_dictionaries(
+                {"name": st.just(name), "computation": _WEIGHTS},
+                optional={"component": st.text(max_size=4), "offloadable": st.booleans()},
+            )
+        )
+        for name in names
+    ]
+    endpoints = st.sampled_from(names)
+    flows = draw(st.lists(st.tuples(endpoints, endpoints, _WEIGHTS).map(list), max_size=6))
+    payload = {"app_name": draw(st.text(max_size=4)), "functions": functions, "data_flows": flows}
+    if draw(st.booleans()):
+        target = draw(st.sampled_from([c for c in (payload, functions, flows, *functions, *flows) if c]))
+        slot = draw(st.sampled_from(list(target) if isinstance(target, dict) else range(len(target))))
+        target[slot] = draw(_JSON_VALUES)
+    return payload
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=_JSON_VALUES | _graph_payloads())
+def test_parse_graph_payload_rejects_or_returns_a_valid_graph(payload):
+    """Any JSON value is either refused with :class:`PayloadError` or
+    parsed into a graph that satisfies every structural invariant."""
+    try:
+        graph = parse_graph_payload(payload)
+    except PayloadError:
+        return
+    check_graph_invariants(graph.graph)
+    assert all(math.isfinite(w) for _, _, w in graph.graph.edges())
+    assert all(math.isfinite(graph.graph.node_weight(n)) for n in graph.graph.nodes())
