@@ -9,7 +9,7 @@ it may be offloaded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Set as AbstractSet
 
 from repro.graphs.weighted_graph import WeightedGraph
 
@@ -157,14 +157,19 @@ class FunctionCallGraph:
         """
         return self._graph.subgraph(self.offloadable_functions())
 
-    def local_anchor_traffic(self, nodes: Iterable[str]) -> float:
+    def local_anchor_traffic(
+        self, nodes: Iterable[str], pinned: AbstractSet[str] | None = None
+    ) -> float:
         """Communication between *nodes* and the unoffloadable functions.
 
         When a group of offloadable functions executes remotely, every data
         flow it has with a pinned-local function crosses the wireless link;
         the greedy scheme generator charges that traffic via this helper.
+        Callers pricing many groups pass *pinned*, the set of
+        :meth:`unoffloadable_functions`, built once.
         """
-        pinned = set(self.unoffloadable_functions())
+        if pinned is None:
+            pinned = set(self.unoffloadable_functions())
         total = 0.0
         for node in nodes:
             for neighbor, weight in self._graph.neighbor_items(node):

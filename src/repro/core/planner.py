@@ -8,8 +8,9 @@ parts and run Algorithm 2's greedy to place them.
 
 Identical applications are planned once: ``plan_system`` caches per
 *content fingerprint* (see :mod:`repro.service.fingerprint`), so
-structurally identical graphs share plans even when they arrive as
-distinct objects — the realistic multi-user case.  Configs that cannot
+structurally identical graphs share plans — and one part layout, seen
+by each user through a cheap per-user view — even when they arrive as
+distinct objects, the realistic multi-user case.  Configs that cannot
 be fingerprinted (custom objects without a canonical encoding) are
 planned without caching; identity-keyed caching is deliberately absent
 because object ids are recycled after garbage collection.
@@ -177,36 +178,52 @@ class OffloadingPlanner:
         *call_graphs* maps user id to the application; structurally
         identical graphs (same content fingerprint — not merely
         ``is``-identical objects) are planned once and their parts
-        reused.  When the planner config cannot be fingerprinted the
-        graph is planned without caching: no identity-derived key ever
-        enters the cache, so a recycled object id can never alias two
-        different graphs onto one plan.
+        reused.  Per-app work runs once per distinct graph; a further
+        user of a graph costs no graph walk:
+
+        * each graph *object* is fingerprinted once — a dict local to
+          this call, keyed by the object itself, holds it strongly for
+          the whole call, so no key can outlive or alias its graph;
+        * each plan key builds one :class:`PartitionedApplication`
+          layout; every further user of the key gets an O(parts)
+          :meth:`~PartitionedApplication.for_user` view of it.
+
+        Nothing survives the call.  When the planner config cannot be
+        fingerprinted the graph has no key and each user is planned and
+        laid out alone: no identity-derived key ever enters the cache,
+        so a recycled object id can never alias two different graphs
+        onto one plan.
         """
         started = time.perf_counter()
 
-        plan_cache: dict[Hashable, UserPlan] = {}
+        keys: dict[FunctionCallGraph, Hashable | None] = {}
+        planned: dict[Hashable, tuple[UserPlan, PartitionedApplication]] = {}
         user_plans: dict[str, UserPlan] = {}
         apps: dict[str, PartitionedApplication] = {}
         bisections: dict[str, list[tuple[set[int], set[int]]]] = {}
 
         for user in system.users:
-            call_graph = call_graphs.get(user.user_id)
+            user_id = user.user_id
+            call_graph = call_graphs.get(user_id)
             if call_graph is None:
-                raise KeyError(f"no call graph supplied for user {user.user_id!r}")
-            cache_key = self._plan_key(call_graph)
+                raise KeyError(f"no call graph supplied for user {user_id!r}")
+            if call_graph in keys:
+                cache_key = keys[call_graph]
+            else:
+                cache_key = keys[call_graph] = self._plan_key(call_graph)
             if cache_key is None:
                 plan = self.plan_user(call_graph)
-            elif cache_key in plan_cache:
-                plan = plan_cache[cache_key]
+                app = PartitionedApplication(user_id, call_graph, plan.parts)
+            elif cache_key in planned:
+                plan, layout = planned[cache_key]
+                app = layout.for_user(user_id, call_graph)
             else:
-                plan = plan_cache[cache_key] = self.plan_user(call_graph)
-            user_plans[user.user_id] = plan
-            apps[user.user_id] = PartitionedApplication(
-                user_id=user.user_id,
-                call_graph=call_graph,
-                part_sets=plan.parts,
-            )
-            bisections[user.user_id] = plan.bisections
+                plan = self.plan_user(call_graph)
+                app = PartitionedApplication(user_id, call_graph, plan.parts)
+                planned[cache_key] = (plan, app)
+            user_plans[user_id] = plan
+            apps[user_id] = app
+            bisections[user_id] = plan.bisections
 
         greedy_watch = Stopwatch()
         with greedy_watch:

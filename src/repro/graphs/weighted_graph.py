@@ -172,16 +172,16 @@ class WeightedGraph:
         """Iterate over edges once each as ``(u, v, weight)``.
 
         Each undirected edge is yielded exactly once, with the endpoint
-        first seen during insertion appearing first.
+        first seen during insertion appearing first: an edge is yielded
+        from the row of whichever endpoint comes first, i.e. while its
+        other endpoint's row has not been walked yet.
         """
-        seen: set[frozenset[NodeId]] = set()
+        visited: set[NodeId] = set()
         for u, neighbors in self._adjacency.items():
             for v, w in neighbors.items():
-                key = frozenset((u, v))
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield (u, v, w)
+                if v not in visited:
+                    yield (u, v, w)
+            visited.add(u)
 
     def edge_list(self) -> list[tuple[NodeId, NodeId, float]]:
         """Return all edges as a list."""

@@ -6,6 +6,8 @@ same side as a unit.  :class:`PartitionedApplication` precomputes every
 quantity the greedy loop needs (part computation weights, part-to-part
 communication, traffic to pinned-local functions) so that evaluating a
 candidate placement costs O(parts^2) arithmetic rather than graph scans.
+Users running the same application share one such layout through
+:meth:`PartitionedApplication.for_user` views.
 """
 
 from __future__ import annotations
@@ -70,11 +72,13 @@ class PartitionedApplication:
                 f"parts contain unoffloadable functions: {sorted(extraneous)!r}"
             )
 
+        pinned_functions = call_graph.unoffloadable_functions()
+        pinned = set(pinned_functions)
         self.parts: list[SchemePart] = []
         membership: dict[str, int] = {}
         for index, functions in enumerate(cleaned):
             computation = sum(graph.node_weight(f) for f in functions)
-            anchor = call_graph.local_anchor_traffic(functions)
+            anchor = call_graph.local_anchor_traffic(functions, pinned)
             self.parts.append(
                 SchemePart(
                     user_id=user_id,
@@ -96,9 +100,34 @@ class PartitionedApplication:
             key = (min(pu, pv), max(pu, pv))
             self.inter_comm[key] = self.inter_comm.get(key, 0.0) + weight
 
-        self.pinned_computation = sum(
-            graph.node_weight(f) for f in call_graph.unoffloadable_functions()
-        )
+        self.pinned_computation = sum(graph.node_weight(f) for f in pinned_functions)
+
+    def for_user(self, user_id: str, call_graph: FunctionCallGraph) -> PartitionedApplication:
+        """This layout as another user's application, in O(parts).
+
+        *call_graph* must have the content this layout was built from
+        (the same request fingerprint): the view shares the layout's part
+        weights, ``inter_comm`` and ``pinned_computation`` instead of
+        recomputing them, and carries its own ``user_id``, ``call_graph``
+        and parts.  The shared values are read-only by convention, as
+        they are for every application the greedy reads.
+        """
+        view = object.__new__(PartitionedApplication)
+        view.user_id = user_id
+        view.call_graph = call_graph
+        view.parts = [
+            SchemePart(
+                user_id=user_id,
+                part_id=part.part_id,
+                functions=part.functions,
+                computation=part.computation,
+                anchor_traffic=part.anchor_traffic,
+            )
+            for part in self.parts
+        ]
+        view.inter_comm = self.inter_comm
+        view.pinned_computation = self.pinned_computation
+        return view
 
     @property
     def part_count(self) -> int:

@@ -63,10 +63,14 @@ def graph_fingerprint(call_graph: FunctionCallGraph) -> str:
     >>> graph_fingerprint(a) == graph_fingerprint(b)
     True
     """
+    graph = call_graph.graph
+    # The weight is the graph's node weight, the value compression and
+    # the part layout read; ``FunctionInfo.computation`` is only its
+    # value at ``add_function`` time and misses later ``set_node_weight``.
     nodes = sorted(
         (
             info.name,
-            _canon_float(info.computation),
+            _canon_float(graph.node_weight(info.name)),
             info.component,
             "1" if info.offloadable else "0",
         )
@@ -74,7 +78,7 @@ def graph_fingerprint(call_graph: FunctionCallGraph) -> str:
     )
     edges = sorted(
         (*sorted((str(u), str(v))), _canon_float(w))
-        for u, v, w in call_graph.graph.edges()
+        for u, v, w in graph.edges()
     )
     return _digest(
         "graph-v1",

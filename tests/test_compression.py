@@ -16,7 +16,7 @@ from repro.compression.propagation import (
     select_starter,
 )
 from repro.compression.termination import TerminationCriteria
-from repro.graphs.generators import path_graph, two_cluster_graph
+from repro.graphs.generators import two_cluster_graph
 from repro.graphs.weighted_graph import WeightedGraph
 
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+import repro.core.planner as planner_module
+import repro.service.fingerprint as fingerprint_module
 from repro.compression.compressor import CompressionConfig
 from repro.compression.labels import AbsoluteThreshold
 from repro.core.baselines import (
@@ -15,12 +17,15 @@ from repro.core.planner import OffloadingPlanner
 from repro.distributed.cluster import LocalCluster
 from repro.graphs.generators import two_cluster_graph
 from repro.mec.devices import EdgeServer, MobileDevice
+from repro.mec.greedy import generate_offloading_scheme
+from repro.mec.scheme import PartitionedApplication
 from repro.mec.system import MECSystem, UserContext
 from repro.workloads.applications import (
     call_graph_from_weighted_graph,
     synthesize_application,
 )
 from repro.workloads.netgen import NetgenConfig, netgen_graph
+from repro.workloads.traces import call_graph_from_dict, call_graph_to_dict
 
 ALL_STRATEGIES = ("spectral", "maxflow", "kl")
 
@@ -180,3 +185,144 @@ class TestPlanSystem:
         ).plan_user(app)
         # Threshold 0 merges each connected component into one super node.
         assert plan.compressed_nodes <= len(app.components()) + 1
+
+
+def _reference_plan(planner, system, graphs):
+    """The per-user reference for ``plan_system``: every user is planned
+    and laid out on its own, sharing nothing."""
+    apps = {}
+    bisections = {}
+    for user in system.users:
+        graph = graphs[user.user_id]
+        plan = planner.plan_user(graph)
+        apps[user.user_id] = PartitionedApplication(user.user_id, graph, plan.parts)
+        bisections[user.user_id] = plan.bisections
+    return generate_offloading_scheme(
+        system,
+        apps,
+        bisections,
+        weights=planner.config.objective,
+        placement_mode=planner.config.initial_placement_mode,
+    )
+
+
+def _capture_apps(monkeypatch):
+    """Record the applications ``plan_system`` hands to the greedy."""
+    captured = {}
+    inner = planner_module.generate_offloading_scheme
+
+    def recording(system, apps, *args, **kwargs):
+        captured.update(apps)
+        return inner(system, apps, *args, **kwargs)
+
+    monkeypatch.setattr(planner_module, "generate_offloading_scheme", recording)
+    return captured
+
+
+class TestPlanSystemPerDistinctApp:
+    """Per-app work runs once per distinct graph, O(1) per further user."""
+
+    @staticmethod
+    def make_system(graph_of_user):
+        users = [UserContext(MobileDevice(uid), g) for uid, g in graph_of_user.items()]
+        system = MECSystem(EdgeServer(total_capacity=150.0 * len(users)), users)
+        return system, dict(graph_of_user)
+
+    @staticmethod
+    def mixed_graphs(n_users=12):
+        pool = [synthesize_application(f"app{k}", n_functions=35, seed=20 + k) for k in range(3)]
+        return {f"u{k:02d}": pool[k % 3] for k in range(n_users)}
+
+    def test_one_fingerprint_per_graph_object(self, monkeypatch):
+        calls = []
+        inner = fingerprint_module.request_fingerprint
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(fingerprint_module, "request_fingerprint", counting)
+        system, graphs = self.make_system(self.mixed_graphs(12))
+        make_planner("spectral").plan_system(system, graphs)
+        assert len(calls) == 3
+
+    def test_content_equal_objects_share_one_plan_but_keep_their_graphs(self, monkeypatch):
+        app = synthesize_application("shared", n_functions=40, seed=5)
+        twin = call_graph_from_dict(call_graph_to_dict(app))
+        assert twin is not app
+        system, graphs = self.make_system({"a": app, "b": twin, "c": app})
+        planner = make_planner("spectral")
+        calls = []
+        inner = planner.plan_user
+        planner.plan_user = lambda graph: calls.append(graph) or inner(graph)
+        apps = _capture_apps(monkeypatch)
+
+        result = planner.plan_system(system, graphs)
+
+        assert len(calls) == 1
+        assert result.user_plans["a"] is result.user_plans["b"] is result.user_plans["c"]
+        for user_id, graph in graphs.items():
+            assert apps[user_id].user_id == user_id
+            assert apps[user_id].call_graph is graph
+            assert all(part.user_id == user_id for part in apps[user_id].parts)
+            assert [part.key for part in apps[user_id].parts] == [
+                (user_id, index) for index in range(apps[user_id].part_count)
+            ]
+
+    def test_shared_layouts_match_per_user_layouts(self, monkeypatch):
+        graphs = self.mixed_graphs(9)
+        graphs["u01"] = call_graph_from_dict(call_graph_to_dict(graphs["u01"]))
+        system, graphs = self.make_system(graphs)
+        planner = make_planner("spectral")
+        apps = _capture_apps(monkeypatch)
+
+        result = planner.plan_system(system, graphs)
+        reference = _reference_plan(planner, system, graphs)
+
+        assert result.scheme.remote_functions == reference.scheme.remote_functions
+        assert result.consumption == reference.consumption
+        assert result.greedy.moves == reference.moves
+        assert result.greedy.remote_parts == reference.remote_parts
+        for user_id, app in apps.items():
+            own = PartitionedApplication(user_id, graphs[user_id], result.user_plans[user_id].parts)
+            assert app.inter_comm == own.inter_comm
+            assert app.pinned_computation == own.pinned_computation
+            assert app.parts == own.parts
+            for part in app.parts:
+                assert part.anchor_traffic == graphs[user_id].local_anchor_traffic(part.functions)
+
+    def test_unfingerprintable_config_plans_each_user(self):
+        class OpaqueRule:
+            """Not a dataclass: has no canonical fingerprint encoding."""
+
+            def threshold(self, graph):
+                return 1.0
+
+            def is_strong(self, graph, weight):
+                return weight > 1.0
+
+        config = PlannerConfig(compression=CompressionConfig(threshold_rule=OpaqueRule()))
+        planner = OffloadingPlanner(spectral_cut_strategy(), config=config, strategy_name="opaque")
+        system, graphs = self.make_system(self.mixed_graphs(6))
+        calls = []
+        inner = planner.plan_user
+        planner.plan_user = lambda graph: calls.append(graph) or inner(graph)
+
+        result = planner.plan_system(system, graphs)
+        assert len(calls) == 6
+        reference = _reference_plan(planner, system, graphs)
+        assert result.scheme.remote_functions == reference.scheme.remote_functions
+        assert result.consumption == reference.consumption
+
+    def test_each_call_plans_from_scratch(self):
+        app = synthesize_application("edited", n_functions=40, seed=6)
+        system, graphs = self.make_system({"a": app, "b": app})
+        planner = make_planner("spectral")
+        before = planner.plan_system(system, graphs)
+        heaviest = max(app.offloadable_functions(), key=app.graph.node_weight)
+        app.graph.set_node_weight(heaviest, 1000.0 * app.graph.node_weight(heaviest))
+
+        after = planner.plan_system(system, graphs)
+
+        assert after.consumption == _reference_plan(planner, system, graphs).consumption
+        assert after.consumption != before.consumption

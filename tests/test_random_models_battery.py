@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import make_planner
 from repro.graphs.components import largest_component
-from repro.graphs.metrics import average_clustering, average_degree
+from repro.graphs.metrics import average_clustering
 from repro.graphs.random_models import (
     barabasi_albert_graph,
     erdos_renyi_graph,

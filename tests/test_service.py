@@ -127,6 +127,31 @@ class TestFingerprint:
             )
         assert graph_fingerprint(original) != graph_fingerprint(mutated)
 
+    def test_fingerprint_follows_the_graph_node_weight(self):
+        """Planning reads ``graph.node_weight``; a weight edited after
+        ``add_function`` must change the cache key with it."""
+        app = FunctionCallGraph("edited")
+        app.add_function("main", computation=1.0, offloadable=False)
+        app.add_function("f", computation=5.0)
+        app.add_data_flow("main", "f", 2.0)
+        before = graph_fingerprint(app)
+        app.graph.set_node_weight("f", 500.0)
+
+        built = FunctionCallGraph("edited")
+        built.add_function("main", computation=1.0, offloadable=False)
+        built.add_function("f", computation=500.0)
+        built.add_data_flow("main", "f", 2.0)
+        assert graph_fingerprint(app) != before
+        assert graph_fingerprint(app) == graph_fingerprint(built)
+
+    def test_fingerprint_digest_is_pinned(self):
+        """Keys of consistent graphs keep their ``graph-v1`` digests, so
+        spilled caches and recorded references stay valid."""
+        app = synthesize_application("demo", n_functions=30, seed=3)
+        assert graph_fingerprint(app) == (
+            "6bd503629257685f552f5610c35f81cd17bbbbff2cf94ab578708a9c57b12e76"
+        )
+
     def test_stable_across_trace_round_trip(self):
         app = synthesize_application("demo", n_functions=30, seed=3)
         copy = call_graph_from_dict(call_graph_to_dict(app))

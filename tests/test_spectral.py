@@ -16,7 +16,7 @@ from repro.spectral.eigen import (
     gershgorin_bound,
     smallest_nontrivial_laplacian_eigenpair,
 )
-from repro.spectral.fiedler import FiedlerMethod, FiedlerSolver
+from repro.spectral.fiedler import FiedlerSolver
 from repro.spectral.lanczos import lanczos_smallest_nontrivial
 from repro.spectral.theory import (
     cut_value_quadratic_form,
